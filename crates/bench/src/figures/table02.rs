@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> String {
         let mut n0 = 0.0;
         let mut n11 = 0.0;
         let mut n1 = 0.0;
-        for r in &runs {
+        for r in runs.iter() {
             let chain = hot_chain(&r.utils, HOT_THRESHOLD);
             let m = fit_transition_matrix(&chain);
             if m.from0 > 0 {

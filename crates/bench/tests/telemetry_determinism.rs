@@ -1,20 +1,23 @@
 //! The observability layer's core contract: telemetry snapshots are a
 //! pure function of the work done, never of how it was scheduled.
 //!
-//! Two acceptance properties from the issue:
+//! Three properties:
 //! 1. Running the same campaign set on 1 worker thread and on 8 produces
 //!    byte-identical Prometheus and JSON snapshots — every aggregate is
 //!    commutative and clocked on simulated time, so interleaving cannot
 //!    show through.
 //! 2. A WAL session that crashes, recovers, and resumes produces the same
 //!    snapshot every time the same crash is replayed.
+//! 3. Concurrent first takes of a memoized single-port collection record
+//!    its campaigns once: one miss, and a hit for every other caller.
 //!
 //! The registry is a process-global, so the tests serialize on one lock
 //! and reset it around each measurement.
 
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use uburst_asic::{CounterId, FaultPlan};
+use uburst_bench::figures::common::collect_single_port_utils_spanned;
 use uburst_bench::{run_parallel_on, CampaignSpec};
 use uburst_core::wal::WalStorage;
 use uburst_core::{
@@ -197,4 +200,41 @@ fn wal_crash_recovery_telemetry_is_reproducible() {
             "snapshot is missing {metric}:\n{first}"
         );
     }
+}
+
+// ---- single-port collection memo -----------------------------------------
+
+#[test]
+fn racing_memo_takes_record_one_simulation() {
+    let (racks, hours) = (2, [20.0]);
+    let callers = 8;
+    let snap = with_registry(|| {
+        let barrier = Barrier::new(callers);
+        std::thread::scope(|s| {
+            for _ in 0..callers {
+                s.spawn(|| {
+                    barrier.wait();
+                    collect_single_port_utils_spanned(
+                        racks,
+                        &hours,
+                        RackType::Cache,
+                        Nanos::from_micros(40),
+                        Nanos::from_millis(5),
+                    )
+                });
+            }
+        });
+        uburst_obs::snapshot()
+    });
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(
+        snap.spans.get("pool/campaign_task").map_or(0, |s| s.count),
+        (racks * hours.len()) as u64,
+        "the collection's campaigns must be simulated exactly once"
+    );
+    assert_eq!(counter("uburst_campaign_memo_misses_total"), 1);
+    assert_eq!(
+        counter("uburst_campaign_memo_hits_total"),
+        callers as u64 - 1
+    );
 }
